@@ -5,6 +5,7 @@ package rejuv_test
 // output. These protect the CLI surface the documentation promises.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -173,15 +174,13 @@ func TestCmdTune(t *testing.T) {
 	}
 }
 
+// stepInput is 50 healthy response times followed by 50 degraded ones.
+func stepInput() string {
+	return strings.Repeat("0.1\n", 50) + strings.Repeat("9.9\n", 50)
+}
+
 func TestCmdRejuvmon(t *testing.T) {
-	var input strings.Builder
-	for i := 0; i < 50; i++ {
-		input.WriteString("0.1\n")
-	}
-	for i := 0; i < 50; i++ {
-		input.WriteString("9.9\n")
-	}
-	out := runCmd(t, "rejuvmon", input.String(),
+	out := runCmd(t, "rejuvmon", stepInput(),
 		"-algo", "SRAA", "-n", "2", "-k", "2", "-d", "2",
 		"-mean", "0.1", "-sd", "0.1", "-cooldown", "0s")
 	if !strings.Contains(out, "TRIGGER") {
@@ -189,6 +188,43 @@ func TestCmdRejuvmon(t *testing.T) {
 	}
 	if !strings.Contains(out, "100 observations") {
 		t.Fatalf("rejuvmon summary missing:\n%s", out)
+	}
+}
+
+// TestCmdRejuvmonTrace checks that -trace writes a JSONL journal of the
+// run to stderr, with decision records and the trigger among them.
+func TestCmdRejuvmonTrace(t *testing.T) {
+	cmd := exec.Command(cmdPath(t, "rejuvmon"), "-q", "-trace",
+		"-algo", "SRAA", "-n", "2", "-k", "2", "-d", "2",
+		"-mean", "0.1", "-sd", "0.1", "-cooldown", "0s")
+	cmd.Stdin = strings.NewReader(stepInput())
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("rejuvmon -trace: %v\n%s", err, stderr.String())
+	}
+	jr, err := rejuv.NewJournalReader(&stderr)
+	if err != nil {
+		t.Fatalf("stderr is not a journal: %v", err)
+	}
+	if jr.Format() != rejuv.JournalJSONL {
+		t.Errorf("trace journal format %v, want JSONL", jr.Format())
+	}
+	recs, err := jr.ReadAll()
+	if err != nil {
+		t.Fatalf("reading trace journal: %v", err)
+	}
+	decisions, triggered := 0, 0
+	for _, r := range recs {
+		if r.Kind == rejuv.JournalKindDecision {
+			decisions++
+			if r.Triggered {
+				triggered++
+			}
+		}
+	}
+	if decisions == 0 || triggered == 0 {
+		t.Errorf("trace journal has %d decisions, %d triggered; want both > 0", decisions, triggered)
 	}
 }
 

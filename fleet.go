@@ -116,10 +116,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	return fleet.New(cfg)
 }
 
-// FleetReplayReport summarizes one fleet journal replay; see
-// ReplayFleetJournal.
-type FleetReplayReport = journal.FleetReplayReport
-
 // ReplayFleetJournal re-derives every stream's decisions in a fleet
 // journal by feeding the journaled observations through fresh reference
 // detectors — one per stream, built by the per-class factory — and
@@ -128,10 +124,10 @@ type FleetReplayReport = journal.FleetReplayReport
 // path implements exactly the published algorithms: use
 // StreamClass.Detector as the factory to check a journal against the
 // classes that produced it.
-func ReplayFleetJournal(r io.Reader, factory func(class string) (Detector, error)) (FleetReplayReport, error) {
+func ReplayFleetJournal(r io.Reader, factory func(class string) (Detector, error)) (ReplayReport, error) {
 	jr, err := journal.NewReader(r)
 	if err != nil {
-		return FleetReplayReport{}, err
+		return ReplayReport{}, err
 	}
 	return journal.ReplayFleet(jr, factory)
 }

@@ -282,31 +282,6 @@ func Analyze(meta Meta, format Format, records []Record, window int) Analysis {
 		case KindRebaseline, KindStreamRebaseline:
 			a.Rebaselines++
 			a.RebaselineEvents = append(a.RebaselineEvents, r)
-		case KindSchedEnqueue:
-			a.Sched.Records++
-			a.Sched.Enqueues++
-		case KindSchedDefer:
-			a.Sched.Records++
-			a.Sched.Defers++
-			bumpReason(&a.Sched.DefersByReason, r.Class)
-		case KindSchedCoalesce:
-			a.Sched.Records++
-			a.Sched.Coalesces++
-		case KindSchedStart:
-			a.Sched.Records++
-			a.Sched.Starts++
-			bumpTier(&a.Sched.StartsByTier, r.Class)
-		case KindSchedComplete:
-			a.Sched.Records++
-			a.Sched.Completes++
-		case KindSchedQuarantine:
-			a.Sched.Records++
-			a.Sched.Quarantines++
-			a.Sched.QuarantineEvents = append(a.Sched.QuarantineEvents, r)
-		case KindSchedReadmit:
-			a.Sched.Records++
-			a.Sched.Readmits++
-			a.Sched.QuarantineEvents = append(a.Sched.QuarantineEvents, r)
 		case KindActStart:
 			a.Actions = append(a.Actions, ActionEvent{
 				Index: len(a.Actions) + 1, Rep: rep, Start: r.Time, End: r.Time,
@@ -324,10 +299,39 @@ func Analyze(meta Meta, format Format, records []Record, window int) Analysis {
 				act.GaveUp = true
 				act.End = r.Time
 			}
+		default:
+			if r.Kind.IsSched() {
+				a.Sched.add(&r)
+			}
 		}
 	}
 	a.Duration = repBase + lastT
 	return a
+}
+
+// add tallies one scheduler record.
+func (c *SchedCensus) add(r *Record) {
+	c.Records++
+	switch r.Kind {
+	case KindSchedEnqueue:
+		c.Enqueues++
+	case KindSchedDefer:
+		c.Defers++
+		bumpReason(&c.DefersByReason, r.Class)
+	case KindSchedCoalesce:
+		c.Coalesces++
+	case KindSchedStart:
+		c.Starts++
+		bumpTier(&c.StartsByTier, r.Class)
+	case KindSchedComplete:
+		c.Completes++
+	case KindSchedQuarantine:
+		c.Quarantines++
+		c.QuarantineEvents = append(c.QuarantineEvents, *r)
+	case KindSchedReadmit:
+		c.Readmits++
+		c.QuarantineEvents = append(c.QuarantineEvents, *r)
+	}
 }
 
 // bumpTier increments the count for a tier name, appending it on first
@@ -600,7 +604,7 @@ func sameDecision(x, y Record) bool {
 	if math.Float64bits(x.Time) != math.Float64bits(y.Time) {
 		return false
 	}
-	bx := appendDecisionFields(nil, &x)
-	by := appendDecisionFields(nil, &y)
+	bx := appendFields(nil, &x, decisionFields)
+	by := appendFields(nil, &y, decisionFields)
 	return string(bx) == string(by)
 }

@@ -240,7 +240,8 @@ func (jr *Reader) readUvarintCounted() (uint64, int, error) {
 	}
 }
 
-// decodeBinary parses one binary record payload.
+// decodeBinary parses one binary record payload: the common prefix,
+// then the kind's schema fields in order.
 func decodeBinary(payload []byte) (Record, error) {
 	c := cursor{b: payload}
 	var r Record
@@ -250,98 +251,58 @@ func decodeBinary(payload []byte) (Record, error) {
 	}
 	r.Seq = c.uvarint()
 	r.Time = c.f64()
-	switch r.Kind {
-	case KindRepStart:
-		r.Rep = int(c.uvarint())
-		r.Seed = c.uvarint()
-		r.Stream = c.uvarint()
-	case KindObserve:
-		r.Value = c.f64()
-	case KindDecision:
-		decodeDecisionFields(&c, &r)
-		decodeTriggerID(&c, &r)
-	case KindReset, KindSimFired, KindSimCancelled:
-		// no payload
-	case KindRejuvenation:
-		r.Killed = int(c.uvarint())
-	case KindGCStart, KindGCEnd:
-		r.HeapMB = c.f64()
-	case KindSimScheduled:
-		r.EventTime = c.f64()
-	case KindFault:
-		r.Class = c.str()
-		r.Value = c.f64()
-	case KindActStart:
-		decodeTriggerID(&c, &r)
-	case KindActAttempt:
-		r.OK = c.u8() != 0
-		r.Attempt = int(c.uvarint())
-		r.Backoff = c.f64()
-		r.Class = c.str()
-		decodeTriggerID(&c, &r)
-	case KindActGiveUp:
-		r.Attempt = int(c.uvarint())
-		r.Class = c.str()
-		decodeTriggerID(&c, &r)
-	case KindStreamOpen:
-		r.Stream = c.uvarint()
-		r.Class = c.str()
-	case KindStreamClose:
-		r.Stream = c.uvarint()
-	case KindStreamObserve:
-		r.Stream = c.uvarint()
-		r.Value = c.f64()
-	case KindStreamDecision:
-		r.Stream = c.uvarint()
-		decodeDecisionFields(&c, &r)
-		decodeTriggerID(&c, &r)
-	case KindRebaseline:
-		r.BaseMean = c.f64()
-		r.BaseStdDev = c.f64()
-	case KindStreamRebaseline:
-		r.Stream = c.uvarint()
-		r.BaseMean = c.f64()
-		r.BaseStdDev = c.f64()
-	case KindSchedEnqueue:
-		r.Stream = c.uvarint()
-		r.Level = int(c.uvarint())
-		r.Fill = int(c.uvarint())
-		r.EventTime = c.f64()
-		r.Value = c.f64()
-		decodeTriggerID(&c, &r)
-	case KindSchedDefer:
-		r.Stream = c.uvarint()
-		r.Class = c.str()
-		r.Level = int(c.uvarint())
-		r.Fill = int(c.uvarint())
-		r.Attempt = int(c.uvarint())
-		decodeTriggerID(&c, &r)
-	case KindSchedCoalesce:
-		r.Stream = c.uvarint()
-		r.Class = c.str()
-		r.Level = int(c.uvarint())
-		r.Fill = int(c.uvarint())
-		r.Attempt = int(c.uvarint())
-		r.EventTime = c.f64()
-		r.Value = c.f64()
-		decodeTriggerID(&c, &r)
-	case KindSchedStart:
-		r.Stream = c.uvarint()
-		r.Class = c.str()
-		r.Value = c.f64()
-		r.Backoff = c.f64()
-		decodeTriggerID(&c, &r)
-	case KindSchedComplete:
-		r.Stream = c.uvarint()
-		r.OK = c.u8() != 0
-		decodeTriggerID(&c, &r)
-	case KindSchedQuarantine:
-		r.Stream = c.uvarint()
-		r.Class = c.str()
-		decodeTriggerID(&c, &r)
-	case KindSchedReadmit:
-		r.Stream = c.uvarint()
-		decodeTriggerID(&c, &r)
+	for _, f := range schema[r.Kind] {
+		switch f {
+		case fRep:
+			r.Rep = int(c.uvarint())
+		case fSeed:
+			r.Seed = c.uvarint()
+		case fStream:
+			r.Stream = c.uvarint()
+		case fValue:
+			r.Value = c.f64()
+		case fFlags:
+			flags := c.u8()
+			r.Evaluated = flags&flagEvaluated != 0
+			r.Triggered = flags&flagTriggered != 0
+			r.Suppressed = flags&flagSuppressed != 0
+		case fSampleMean:
+			r.SampleMean = c.f64()
+		case fTarget:
+			r.Target = c.f64()
+		case fLevel:
+			r.Level = int(c.uvarint())
+		case fFill:
+			r.Fill = int(c.uvarint())
+		case fSampleSize:
+			r.SampleSize = int(c.uvarint())
+		case fSampleFill:
+			r.SampleFill = int(c.uvarint())
+		case fStatistic:
+			r.Statistic = c.f64()
+		case fKilled:
+			r.Killed = int(c.uvarint())
+		case fHeapMB:
+			r.HeapMB = c.f64()
+		case fEventTime:
+			r.EventTime = c.f64()
+		case fClass:
+			r.Class = c.str()
+		case fAttempt:
+			r.Attempt = int(c.uvarint())
+		case fOK:
+			r.OK = c.u8() != 0
+		case fBackoff:
+			r.Backoff = c.f64()
+		case fBaseMean:
+			r.BaseMean = c.f64()
+		case fBaseStdDev:
+			r.BaseStdDev = c.f64()
+		case fTriggerID:
+			if c.off < len(c.b) {
+				r.TriggerID = c.uvarint()
+			}
+		}
 	}
 	if c.err != nil {
 		return Record{}, fmt.Errorf("journal: %s record: %w", r.Kind, c.err)
@@ -350,33 +311,6 @@ func decodeBinary(payload []byte) (Record, error) {
 		return Record{}, fmt.Errorf("journal: %s record carries %d trailing bytes", r.Kind, len(c.b)-c.off)
 	}
 	return r, nil
-}
-
-// decodeTriggerID parses the optional trailing trigger-id field: it is
-// present exactly when payload bytes remain after the kind's fixed
-// fields, so journals written before trigger ids existed (and records
-// with id 0, which the writer omits) decode unchanged with TriggerID 0.
-func decodeTriggerID(c *cursor, r *Record) {
-	if c.err != nil || c.off >= len(c.b) {
-		return
-	}
-	r.TriggerID = c.uvarint()
-}
-
-// decodeDecisionFields parses the canonical decision payload written by
-// appendDecisionFields, shared by KindDecision and KindStreamDecision.
-func decodeDecisionFields(c *cursor, r *Record) {
-	flags := c.u8()
-	r.Evaluated = flags&flagEvaluated != 0
-	r.Triggered = flags&flagTriggered != 0
-	r.Suppressed = flags&flagSuppressed != 0
-	r.SampleMean = c.f64()
-	r.Target = c.f64()
-	r.Level = int(c.uvarint())
-	r.Fill = int(c.uvarint())
-	r.SampleSize = int(c.uvarint())
-	r.SampleFill = int(c.uvarint())
-	r.Statistic = c.f64()
 }
 
 // cursor walks a record payload, latching the first decode error so the

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
@@ -26,13 +27,28 @@ func sameF64Bits(a, b float64) bool {
 // any divergence means the journal, the detector construction, or the
 // platform broke the determinism guarantee — which makes Replay the
 // strongest determinism test in the repository.
+//
+// One driver serves both journal shapes. A fleet journal interleaves
+// many streams, each record tagged with its stream id, and opens and
+// closes them explicitly; the interleaving itself is part of what a
+// deterministic fleet must reproduce, so ReplayFleet doubles as the
+// proof that the fleet engine's struct-of-arrays detector state matches
+// the pointer-based reference detectors in internal/core. A
+// single-detector journal is a fleet of one implicit stream, id 0,
+// opened up front and reopened by each KindRepStart.
 
 // ReplayReport summarizes one replay verification pass.
 type ReplayReport struct {
-	// Reps counts replications encountered (KindRepStart records; one
-	// implicit replication when a journal has none).
+	// Reps counts replications of a single-detector journal (KindRepStart
+	// records; one implicit replication when a journal has none). It is
+	// 0 for fleet journals.
 	Reps int
-	// Observations counts observation records fed to the detector.
+	// Streams counts streams opened: the fleet journal's KindStreamOpen
+	// records, or 1 for a single-detector journal.
+	Streams int
+	// Closes counts fleet stream close records applied.
+	Closes int
+	// Observations counts observation records fed to detectors.
 	Observations int
 	// Decisions counts decision records compared.
 	Decisions int
@@ -42,8 +58,8 @@ type ReplayReport struct {
 	Resets int
 	// Rebaselines counts workload-shift rebaseline records verified.
 	Rebaselines int
-	// Mismatch describes the first divergence, nil when the streams are
-	// byte-identical.
+	// Mismatch describes the first divergence, nil when every stream's
+	// decision sequence is byte-identical.
 	Mismatch *Mismatch
 }
 
@@ -78,127 +94,262 @@ func (m *Mismatch) Error() string {
 
 // Replay feeds every journaled observation through detectors built by
 // factory and verifies the resulting decision stream against the
-// journaled one. factory is invoked once per replication (each
-// KindRepStart record, plus once up front for journals without
-// replication markers), mirroring how the recording run constructed a
-// fresh detector per replication.
+// journaled one. factory is invoked once up front and again at each
+// KindRepStart record, mirroring how the recording run constructed a
+// fresh detector per replication. Fleet stream records are ignored.
 //
 // The comparison is byte-level: both sides are encoded with the
-// canonical binary decision layout (appendDecisionFields) and must
-// match exactly. The Suppressed flag is copied from the recorded
-// record before encoding, because suppression is decided by the
-// cooldown layer above the detector and is not reproducible from the
-// observation stream alone; every detector-owned field must match.
+// canonical binary decision layout (decisionFields) and must match
+// exactly. The Suppressed flag is copied from the recorded record before
+// encoding, because suppression is decided by the cooldown layer above
+// the detector and is not reproducible from the observation stream
+// alone; every detector-owned field must match.
 //
 // Replay stops at the first divergence and reports it; a nil error with
 // report.Identical() true is the determinism proof.
 func Replay(jr *Reader, factory func() (core.Detector, error)) (ReplayReport, error) {
-	var report ReplayReport
-	var replayErr error
-	// Label the replay loop so CPU profiles attribute detector
-	// evaluation time to this phase.
-	pprof.Do(context.Background(), pprof.Labels("rejuv_phase", "detector-replay"), func(context.Context) {
-		report, replayErr = replay(jr, factory)
-	})
-	return report, replayErr
+	return replay(jr, func(string) (core.Detector, error) { return factory() }, false)
 }
 
-// replay is the unlabeled body of Replay.
-func replay(jr *Reader, factory func() (core.Detector, error)) (ReplayReport, error) {
-	var report ReplayReport
-	det, err := factory()
-	if err != nil {
-		return report, fmt.Errorf("journal: replay factory: %w", err)
-	}
-	if det == nil {
-		return report, fmt.Errorf("journal: replay factory returned a nil detector")
-	}
-	report.Reps = 1
-	sawRepStart := false
+// ReplayFleet is Replay for fleet journals: factory is invoked per
+// KindStreamOpen with that stream's class, and each stream's decision
+// records are verified against its own replayed detector. Records that
+// carry no stream id other than KindReset, which resets every open
+// stream, are ignored, so a fleet journal may carry rejuvenation and
+// actuator records alongside.
+func ReplayFleet(jr *Reader, factory func(class string) (core.Detector, error)) (ReplayReport, error) {
+	return replay(jr, factory, true)
+}
 
-	// pending holds the replayed decision awaiting its recorded
-	// counterpart; decision records always follow their observation in
-	// writer order.
-	var pending *Record
+// replayOp is what one record asks of the replay driver.
+type replayOp byte
 
-	for {
+// Replay operations; opNone records are skipped.
+const (
+	opNone replayOp = iota
+	opOpen
+	opClose
+	opObserve
+	opDecision
+	opRebaseline
+	opReset
+)
+
+// singleOps and fleetOps route each record kind of a single-detector
+// and a fleet journal onto the driver's operations.
+var (
+	singleOps = [maxKind + 1]replayOp{
+		KindRepStart: opOpen, KindObserve: opObserve, KindDecision: opDecision,
+		KindRebaseline: opRebaseline, KindReset: opReset,
+	}
+	fleetOps = [maxKind + 1]replayOp{
+		KindStreamOpen: opOpen, KindStreamClose: opClose, KindStreamObserve: opObserve,
+		KindStreamDecision: opDecision, KindStreamRebaseline: opRebaseline, KindReset: opReset,
+	}
+)
+
+// replayStream is the replay state of one open stream.
+type replayStream struct {
+	det     core.Detector
+	pending *Record // replayed decision awaiting its recorded counterpart
+}
+
+// replayer is the state of one replay pass.
+type replayer struct {
+	factory     func(class string) (core.Detector, error)
+	fleet       bool
+	streams     map[uint64]*replayStream
+	sawRepStart bool
+	report      ReplayReport
+
+	recBuf, repBuf []byte // reused canonical decision encodings
+}
+
+// replay runs the driver, labeled so CPU profiles attribute detector
+// evaluation time to this phase.
+func replay(jr *Reader, factory func(class string) (core.Detector, error), fleet bool) (ReplayReport, error) {
+	rp := &replayer{factory: factory, fleet: fleet, streams: make(map[uint64]*replayStream)}
+	var err error
+	pprof.Do(context.Background(), pprof.Labels("rejuv_phase", "detector-replay"), func(context.Context) {
+		err = rp.run(jr)
+	})
+	return rp.report, err
+}
+
+// run drives the whole journal, stopping at the first mismatch.
+func (rp *replayer) run(jr *Reader) error {
+	ops := &fleetOps
+	if !rp.fleet {
+		ops = &singleOps
+		if err := rp.open(0, ""); err != nil {
+			return err
+		}
+		rp.report.Reps = 1
+	}
+	for rp.report.Mismatch == nil {
 		rec, err := jr.Next()
 		if errors.Is(err, io.EOF) {
-			break
+			rp.finish()
+			return nil
 		}
 		if err != nil {
-			return report, err
+			return err
 		}
-		switch rec.Kind {
-		case KindRepStart:
-			if pending != nil {
-				report.Mismatch = structuralMismatch(rec, "replication started while a replayed decision awaited its recorded counterpart")
-				return report, nil
+		switch op := ops[rec.Kind]; op {
+		case opNone:
+		case opReset:
+			// Reset has no cross-stream effects, so map order is irrelevant.
+			rp.report.Resets++
+			for _, st := range rp.streams {
+				st.det.Reset()
 			}
-			if sawRepStart || report.Observations > 0 || report.Decisions > 0 {
-				report.Reps++
+		case opOpen:
+			if err := rp.openRecord(&rec); err != nil {
+				return err
 			}
-			sawRepStart = true
-			if det, err = factory(); err != nil {
-				return report, fmt.Errorf("journal: replay factory (rep %d): %w", rec.Rep, err)
-			}
-		case KindObserve:
-			if pending != nil {
-				report.Mismatch = structuralMismatch(rec, "observation arrived while a replayed decision awaited its recorded counterpart")
-				return report, nil
-			}
-			report.Observations++
-			d := det.Observe(rec.Value)
-			if d.Evaluated || d.Triggered {
-				var in core.Internals
-				if instr, ok := det.(core.Instrumented); ok {
-					in = instr.Internals()
-				}
-				r := DecisionRecord(rec.Time, d, in, false)
-				pending = &r
-			}
-		case KindDecision:
-			report.Decisions++
-			if rec.Triggered {
-				report.Triggers++
-			}
-			if pending == nil {
-				report.Mismatch = structuralMismatch(rec, "recorded decision has no replayed counterpart (replayed detector did not evaluate)")
-				return report, nil
-			}
-			// Suppression belongs to the cooldown layer, not the
-			// detector; carry it over so the byte comparison covers
-			// exactly the detector-owned fields.
-			pending.Suppressed = rec.Suppressed
-			pending.Time = rec.Time
-			recBytes := appendDecisionFields(nil, &rec)
-			repBytes := appendDecisionFields(nil, pending)
-			if string(recBytes) != string(repBytes) {
-				report.Mismatch = &Mismatch{
-					Seq:      rec.Seq,
-					Time:     rec.Time,
-					Reason:   "decision payloads differ",
-					Recorded: hex.EncodeToString(recBytes),
-					Replayed: hex.EncodeToString(repBytes),
-				}
-				return report, nil
-			}
-			pending = nil
-		case KindReset:
-			report.Resets++
-			det.Reset()
-		case KindRebaseline:
-			report.Rebaselines++
-			if m := verifyRebaseline(rec, det); m != nil {
-				report.Mismatch = m
-				return report, nil
-			}
+		default:
+			rp.apply(op, &rec)
 		}
 	}
-	if pending != nil {
-		report.Mismatch = &Mismatch{Reason: "replayed decision at end of journal has no recorded counterpart"}
+	return nil
+}
+
+// openRecord applies a stream open: a fleet journal's KindStreamOpen,
+// or the KindRepStart that reopens a single-detector journal's implicit
+// stream for the next replication.
+func (rp *replayer) openRecord(rec *Record) error {
+	if rp.fleet {
+		if _, ok := rp.streams[rec.Stream]; ok {
+			rp.mismatch(rec, "stream %d opened twice", rec.Stream)
+			return nil
+		}
+		return rp.open(rec.Stream, rec.Class)
 	}
-	return report, nil
+	if rp.streams[0].pending != nil {
+		rp.mismatch(rec, "replication started while a replayed decision awaited its recorded counterpart")
+		return nil
+	}
+	if rp.sawRepStart || rp.report.Observations > 0 || rp.report.Decisions > 0 {
+		rp.report.Reps++
+	}
+	rp.sawRepStart = true
+	return rp.open(0, "")
+}
+
+// open (re)builds the detector of stream id from its class. The
+// implicit stream of a single-detector journal is counted once.
+func (rp *replayer) open(id uint64, class string) error {
+	det, err := rp.factory(class)
+	if err != nil {
+		return fmt.Errorf("journal: replay factory (stream %d, class %q): %w", id, class, err)
+	}
+	if det == nil {
+		return fmt.Errorf("journal: replay factory returned a nil detector for class %q", class)
+	}
+	if rp.fleet || rp.report.Streams == 0 {
+		rp.report.Streams++
+	}
+	rp.streams[id] = &replayStream{det: det}
+	return nil
+}
+
+// apply performs one stream-addressed operation (close, observe,
+// decision, rebaseline) on the stream rec addresses.
+func (rp *replayer) apply(op replayOp, rec *Record) {
+	var id uint64
+	if rp.fleet {
+		id = rec.Stream
+	}
+	st, ok := rp.streams[id]
+	if !ok {
+		rp.mismatch(rec, "%s on unopened stream %d", rec.Kind, id)
+		return
+	}
+	switch op {
+	case opClose:
+		if st.pending != nil {
+			rp.mismatch(rec, "stream %d closed while a replayed decision awaited its recorded counterpart", id)
+			return
+		}
+		delete(rp.streams, id)
+		rp.report.Closes++
+	case opObserve:
+		if st.pending != nil {
+			rp.mismatch(rec, "observation%s arrived while a replayed decision awaited its recorded counterpart", rp.on(id))
+			return
+		}
+		rp.report.Observations++
+		d := st.det.Observe(rec.Value)
+		if d.Evaluated || d.Triggered {
+			var in core.Internals
+			if instr, ok := st.det.(core.Instrumented); ok {
+				in = instr.Internals()
+			}
+			r := DecisionRecord(rec.Time, d, in, false)
+			st.pending = &r
+		}
+	case opDecision:
+		rp.report.Decisions++
+		if rec.Triggered {
+			rp.report.Triggers++
+		}
+		if st.pending == nil {
+			rp.mismatch(rec, "recorded decision%s has no replayed counterpart (replayed detector did not evaluate)", rp.on(id))
+			return
+		}
+		// Suppression belongs to the cooldown layer, not the detector;
+		// carry it over so the byte comparison covers exactly the
+		// detector-owned fields.
+		st.pending.Suppressed = rec.Suppressed
+		rp.recBuf = appendFields(rp.recBuf[:0], rec, decisionFields)
+		rp.repBuf = appendFields(rp.repBuf[:0], st.pending, decisionFields)
+		if !bytes.Equal(rp.recBuf, rp.repBuf) {
+			rp.report.Mismatch = &Mismatch{
+				Seq:      rec.Seq,
+				Time:     rec.Time,
+				Reason:   "decision payloads differ" + rp.on(id),
+				Recorded: hex.EncodeToString(rp.recBuf),
+				Replayed: hex.EncodeToString(rp.repBuf),
+			}
+			return
+		}
+		st.pending = nil
+	case opRebaseline:
+		rp.report.Rebaselines++
+		if m := verifyRebaseline(*rec, st.det); m != nil {
+			m.Reason += rp.on(id)
+			rp.report.Mismatch = m
+		}
+	}
+}
+
+// finish reports a replayed decision left without its recorded
+// counterpart at the end of the journal, naming the lowest stream id so
+// the diagnosis is stable despite map iteration order.
+func (rp *replayer) finish() {
+	leftover, found := uint64(0), false
+	for id, st := range rp.streams {
+		if st.pending != nil && (!found || id < leftover) {
+			leftover, found = id, true
+		}
+	}
+	if found {
+		rp.report.Mismatch = &Mismatch{Reason: fmt.Sprintf("replayed decision%s at end of journal has no recorded counterpart", rp.on(leftover))}
+	}
+}
+
+// on names the stream a diagnosis concerns; the implicit stream of a
+// single-detector journal goes unnamed.
+func (rp *replayer) on(id uint64) string {
+	if !rp.fleet {
+		return ""
+	}
+	return fmt.Sprintf(" on stream %d", id)
+}
+
+// mismatch records a structural divergence at rec.
+func (rp *replayer) mismatch(rec *Record, format string, args ...any) {
+	rp.report.Mismatch = structuralMismatch(*rec, fmt.Sprintf(format, args...))
 }
 
 // structuralMismatch builds a mismatch for stream-shape divergences.

@@ -66,11 +66,9 @@ func SchedRecord(tr sched.Transition) Record {
 
 // SchedReplayReport summarizes one scheduler replay verification pass.
 type SchedReplayReport struct {
-	// Records counts scheduler records verified.
-	Records int
-	// Enqueues, Defers, Coalesces, Starts, Completes, Quarantines and
-	// Readmits count them by kind.
-	Enqueues, Defers, Coalesces, Starts, Completes, Quarantines, Readmits int
+	// SchedCensus tallies the verified scheduler records, exactly as
+	// Analyze tallies a journal's.
+	SchedCensus
 	// MaxDownSeen is the per-group high-water mark of simultaneously
 	// down replicas in the replayed governor — the replay-side proof of
 	// the capacity-budget law.
@@ -90,7 +88,7 @@ func encodeSchedRecord(r *Record) []byte {
 	b := []byte{byte(r.Kind)}
 	b = binary.AppendUvarint(b, r.Seq)
 	b = appendF64(b, r.Time)
-	return appendPayload(b, r)
+	return appendFields(b, r, schema[r.Kind])
 }
 
 // ReplaySched feeds the journaled scheduler inputs through a fresh
@@ -123,8 +121,7 @@ func ReplaySched(jr *Reader, cfg sched.Config) (SchedReplayReport, error) {
 		if !rec.Kind.IsSched() {
 			continue
 		}
-		report.Records++
-		report.count(rec.Kind)
+		report.add(&rec)
 		if len(pending) == 0 {
 			out := schedInput(g, rec)
 			if len(out) == 0 {
@@ -161,26 +158,6 @@ func ReplaySched(jr *Reader, cfg sched.Config) (SchedReplayReport, error) {
 		report.MaxDownSeen[grp] = g.MaxDownSeen(grp)
 	}
 	return report, nil
-}
-
-// count tallies one verified record by kind.
-func (r *SchedReplayReport) count(k Kind) {
-	switch k {
-	case KindSchedEnqueue:
-		r.Enqueues++
-	case KindSchedDefer:
-		r.Defers++
-	case KindSchedCoalesce:
-		r.Coalesces++
-	case KindSchedStart:
-		r.Starts++
-	case KindSchedComplete:
-		r.Completes++
-	case KindSchedQuarantine:
-		r.Quarantines++
-	case KindSchedReadmit:
-		r.Readmits++
-	}
 }
 
 // schedInput derives the governor input a group-leading record implies

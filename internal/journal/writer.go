@@ -12,7 +12,7 @@ import (
 
 // Writer appends records to an underlying io.Writer in one of the two
 // codecs. The binary encode path performs no allocations per record (a
-// reused scratch buffer plus at most two Write calls), so journaling can
+// reused scratch buffer and one Write call), so journaling can
 // be left on in benchmarked paths. Errors are sticky: the first failed
 // write latches into Err and subsequent records are dropped, because a
 // flight recorder must never turn an I/O failure into a simulation
@@ -83,35 +83,35 @@ func (jw *Writer) Count(k Kind) uint64 {
 
 // Record appends one fully populated record. The record's Seq is
 // overwritten with the writer's running sequence number. The typed
-// emitters below are the preferred interface; Record exists so analysis
-// tooling can rewrite journals.
-func (jw *Writer) Record(r Record) {
+// emitters below cover the detector, simulator, actuator and fleet
+// kinds; Record is how the scheduler kinds are written (as
+// SchedRecord(tr)) and lets analysis tooling rewrite journals.
+func (jw *Writer) Record(r Record) { jw.emit(&r) }
+
+// emit is the one write path of every record: it latches errors, clips
+// Class to MaxClassLen, assigns the sequence number, counts the kind and
+// encodes r on the writer's codec. The binary codec allocates nothing.
+func (jw *Writer) emit(r *Record) {
 	if jw.err != nil || !r.Kind.Valid() {
 		return
 	}
-	r.Seq = jw.nextSeq(r.Kind)
-	if jw.jsonl(r) {
+	r.Class = clipClass(r.Class)
+	r.Seq = jw.seq
+	jw.seq++
+	jw.counts[r.Kind]++
+	if jw.format == FormatJSONL {
+		jw.jsonl(r)
 		return
 	}
 	b := jw.begin(r.Kind, r.Seq, r.Time)
-	b = appendPayload(b, &r)
+	b = appendFields(b, r, schema[r.Kind])
 	jw.finish(b)
 }
 
 // RepStart marks the beginning of replication rep with its seed/stream.
 func (jw *Writer) RepStart(t float64, rep int, seed, stream uint64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindRepStart)
-	if jw.jsonl(Record{Kind: KindRepStart, Seq: seq, Time: t, Rep: rep, Seed: seed, Stream: stream}) {
-		return
-	}
-	b := jw.begin(KindRepStart, seq, t)
-	b = binary.AppendUvarint(b, uint64(rep))
-	b = binary.AppendUvarint(b, seed)
-	b = binary.AppendUvarint(b, stream)
-	jw.finish(b)
+	r := Record{Kind: KindRepStart, Time: t, Rep: rep, Seed: seed, Stream: stream}
+	jw.emit(&r)
 }
 
 // Observe records one observation of the monitored metric. It sits on
@@ -120,16 +120,8 @@ func (jw *Writer) RepStart(t float64, rep int, seed, stream uint64) {
 //
 //lint:hotpath
 func (jw *Writer) Observe(t, value float64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindObserve)
-	if jw.jsonl(Record{Kind: KindObserve, Seq: seq, Time: t, Value: value}) {
-		return
-	}
-	b := jw.begin(KindObserve, seq, t)
-	b = appendF64(b, value)
-	jw.finish(b)
+	r := Record{Kind: KindObserve, Time: t, Value: value}
+	jw.emit(&r)
 }
 
 // Decision records one evaluated detector decision together with the
@@ -140,99 +132,53 @@ func (jw *Writer) Observe(t, value float64) {
 //
 //lint:hotpath
 func (jw *Writer) Decision(t float64, d core.Decision, in core.Internals, suppressed bool, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
 	r := DecisionRecord(t, d, in, suppressed)
 	r.TriggerID = triggerID
-	r.Seq = jw.nextSeq(KindDecision)
-	if jw.jsonl(r) {
-		return
-	}
-	b := jw.begin(KindDecision, r.Seq, t)
-	b = appendDecisionFields(b, &r)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
+	jw.emit(&r)
 }
 
 // Reset records an externally initiated detector reset.
 func (jw *Writer) Reset(t float64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindReset)
-	if jw.jsonl(Record{Kind: KindReset, Seq: seq, Time: t}) {
-		return
-	}
-	jw.finish(jw.begin(KindReset, seq, t))
+	r := Record{Kind: KindReset, Time: t}
+	jw.emit(&r)
 }
 
 // Rejuvenation records the control action: the system was rejuvenated,
 // killing the given number of in-flight transactions.
 func (jw *Writer) Rejuvenation(t float64, killed int) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindRejuvenation)
-	if jw.jsonl(Record{Kind: KindRejuvenation, Seq: seq, Time: t, Killed: killed}) {
-		return
-	}
-	b := jw.begin(KindRejuvenation, seq, t)
-	b = binary.AppendUvarint(b, uint64(killed))
-	jw.finish(b)
+	r := Record{Kind: KindRejuvenation, Time: t, Killed: killed}
+	jw.emit(&r)
 }
 
 // GCStart records the onset of a full GC stall at the given heap level.
-func (jw *Writer) GCStart(t, heapMB float64) { jw.gc(KindGCStart, t, heapMB) }
+func (jw *Writer) GCStart(t, heapMB float64) {
+	r := Record{Kind: KindGCStart, Time: t, HeapMB: heapMB}
+	jw.emit(&r)
+}
 
 // GCEnd records the end of a full GC stall at the given heap level.
-func (jw *Writer) GCEnd(t, heapMB float64) { jw.gc(KindGCEnd, t, heapMB) }
-
-// gc emits one GC boundary record.
-func (jw *Writer) gc(kind Kind, t, heapMB float64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(kind)
-	if jw.jsonl(Record{Kind: kind, Seq: seq, Time: t, HeapMB: heapMB}) {
-		return
-	}
-	b := jw.begin(kind, seq, t)
-	b = appendF64(b, heapMB)
-	jw.finish(b)
+func (jw *Writer) GCEnd(t, heapMB float64) {
+	r := Record{Kind: KindGCEnd, Time: t, HeapMB: heapMB}
+	jw.emit(&r)
 }
 
 // SimScheduled records a kernel event pushed onto the queue, scheduled
 // to fire at virtual time at.
 func (jw *Writer) SimScheduled(t, at float64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindSimScheduled)
-	if jw.jsonl(Record{Kind: KindSimScheduled, Seq: seq, Time: t, EventTime: at}) {
-		return
-	}
-	b := jw.begin(KindSimScheduled, seq, t)
-	b = appendF64(b, at)
-	jw.finish(b)
+	r := Record{Kind: KindSimScheduled, Time: t, EventTime: at}
+	jw.emit(&r)
 }
 
 // SimFired records a kernel event whose handler ran.
-func (jw *Writer) SimFired(t float64) { jw.simPlain(KindSimFired, t) }
+func (jw *Writer) SimFired(t float64) {
+	r := Record{Kind: KindSimFired, Time: t}
+	jw.emit(&r)
+}
 
 // SimCancelled records a kernel event removed before firing.
-func (jw *Writer) SimCancelled(t float64) { jw.simPlain(KindSimCancelled, t) }
-
-// simPlain emits a payload-free kernel event record.
-func (jw *Writer) simPlain(kind Kind, t float64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(kind)
-	if jw.jsonl(Record{Kind: kind, Seq: seq, Time: t}) {
-		return
-	}
-	jw.finish(jw.begin(kind, seq, t))
+func (jw *Writer) SimCancelled(t float64) {
+	r := Record{Kind: KindSimCancelled, Time: t}
+	jw.emit(&r)
 }
 
 // Fault records one telemetry fault: an injected corruption, a value
@@ -240,34 +186,16 @@ func (jw *Writer) simPlain(kind Kind, t float64) {
 // (truncated to MaxClassLen) and value carries the observation involved
 // (NaN when no value applies, e.g. a stall).
 func (jw *Writer) Fault(t float64, class string, value float64) {
-	if jw.err != nil {
-		return
-	}
-	class = clipClass(class)
-	seq := jw.nextSeq(KindFault)
-	if jw.jsonl(Record{Kind: KindFault, Seq: seq, Time: t, Class: class, Value: value}) {
-		return
-	}
-	b := jw.begin(KindFault, seq, t)
-	b = appendString(b, class)
-	b = appendF64(b, value)
-	jw.finish(b)
+	r := Record{Kind: KindFault, Time: t, Class: class, Value: value}
+	jw.emit(&r)
 }
 
 // ActStart records the start of one rejuvenation action execution.
 // triggerID carries the identity of the trigger that provoked it, or 0
 // for executions started outside a trigger.
 func (jw *Writer) ActStart(t float64, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindActStart)
-	if jw.jsonl(Record{Kind: KindActStart, Seq: seq, Time: t, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindActStart, seq, t)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
+	r := Record{Kind: KindActStart, Time: t, TriggerID: triggerID}
+	jw.emit(&r)
 }
 
 // ActAttempt records one attempt of a rejuvenation action: its 1-based
@@ -275,76 +203,29 @@ func (jw *Writer) ActStart(t float64, triggerID uint64) {
 // attempt (0 when none follows), the error text on failure, and the
 // trigger id the execution belongs to (0 when none).
 func (jw *Writer) ActAttempt(t float64, attempt int, ok bool, backoff float64, errText string, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	errText = clipClass(errText)
-	seq := jw.nextSeq(KindActAttempt)
-	if jw.jsonl(Record{Kind: KindActAttempt, Seq: seq, Time: t,
-		Attempt: attempt, OK: ok, Backoff: backoff, Class: errText, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindActAttempt, seq, t)
-	if ok {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = binary.AppendUvarint(b, uint64(attempt))
-	b = appendF64(b, backoff)
-	b = appendString(b, errText)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
+	r := Record{Kind: KindActAttempt, Time: t, Attempt: attempt, OK: ok, Backoff: backoff, Class: errText, TriggerID: triggerID}
+	jw.emit(&r)
 }
 
 // ActGiveUp records the terminal escalation: the action failed for good
 // after the given total number of attempts, with the last error text
 // and the trigger id the execution belongs to (0 when none).
 func (jw *Writer) ActGiveUp(t float64, attempts int, errText string, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	errText = clipClass(errText)
-	seq := jw.nextSeq(KindActGiveUp)
-	if jw.jsonl(Record{Kind: KindActGiveUp, Seq: seq, Time: t, Attempt: attempts, Class: errText, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindActGiveUp, seq, t)
-	b = binary.AppendUvarint(b, uint64(attempts))
-	b = appendString(b, errText)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
+	r := Record{Kind: KindActGiveUp, Time: t, Attempt: attempts, Class: errText, TriggerID: triggerID}
+	jw.emit(&r)
 }
 
 // StreamOpen records a fleet stream coming under monitoring with the
 // named detector class.
 func (jw *Writer) StreamOpen(t float64, stream uint64, class string) {
-	if jw.err != nil {
-		return
-	}
-	class = clipClass(class)
-	seq := jw.nextSeq(KindStreamOpen)
-	if jw.jsonl(Record{Kind: KindStreamOpen, Seq: seq, Time: t, Stream: stream, Class: class}) {
-		return
-	}
-	b := jw.begin(KindStreamOpen, seq, t)
-	b = binary.AppendUvarint(b, stream)
-	b = appendString(b, class)
-	jw.finish(b)
+	r := Record{Kind: KindStreamOpen, Time: t, Stream: stream, Class: class}
+	jw.emit(&r)
 }
 
 // StreamClose records a fleet stream leaving monitoring.
 func (jw *Writer) StreamClose(t float64, stream uint64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindStreamClose)
-	if jw.jsonl(Record{Kind: KindStreamClose, Seq: seq, Time: t, Stream: stream}) {
-		return
-	}
-	b := jw.begin(KindStreamClose, seq, t)
-	b = binary.AppendUvarint(b, stream)
-	jw.finish(b)
+	r := Record{Kind: KindStreamClose, Time: t, Stream: stream}
+	jw.emit(&r)
 }
 
 // StreamObserve records one observation on a fleet stream. It sits on
@@ -353,43 +234,23 @@ func (jw *Writer) StreamClose(t float64, stream uint64) {
 //
 //lint:hotpath
 func (jw *Writer) StreamObserve(t float64, stream uint64, value float64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindStreamObserve)
-	if jw.jsonl(Record{Kind: KindStreamObserve, Seq: seq, Time: t, Stream: stream, Value: value}) {
-		return
-	}
-	b := jw.begin(KindStreamObserve, seq, t)
-	b = binary.AppendUvarint(b, stream)
-	b = appendF64(b, value)
-	jw.finish(b)
+	r := Record{Kind: KindStreamObserve, Time: t, Stream: stream, Value: value}
+	jw.emit(&r)
 }
 
 // StreamDecision records one evaluated detector decision on a fleet
-// stream. The decision payload reuses the KindDecision byte layout
-// (appendDecisionFields) after the stream id, so fleet replay verifies
-// the same bytes single-stream replay does. Like StreamObserve it is on
-// the fleet's batched ingestion path.
+// stream. The decision payload follows the stream id in the KindDecision
+// layout (decisionFields), so fleet replay verifies the same bytes
+// single-stream replay does. Like StreamObserve it is on the fleet's
+// batched ingestion path.
 //
 //lint:hotpath
 func (jw *Writer) StreamDecision(t float64, stream uint64, d core.Decision, in core.Internals, suppressed bool, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
 	r := DecisionRecord(t, d, in, suppressed)
 	r.Kind = KindStreamDecision
 	r.Stream = stream
 	r.TriggerID = triggerID
-	r.Seq = jw.nextSeq(KindStreamDecision)
-	if jw.jsonl(r) {
-		return
-	}
-	b := jw.begin(KindStreamDecision, r.Seq, t)
-	b = binary.AppendUvarint(b, stream)
-	b = appendDecisionFields(b, &r)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
+	jw.emit(&r)
 }
 
 // Rebaseline records a committed workload-shift rebaseline: the shift
@@ -400,17 +261,8 @@ func (jw *Writer) StreamDecision(t float64, stream uint64, d core.Decision, in c
 //
 //lint:hotpath
 func (jw *Writer) Rebaseline(t, mean, sd float64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindRebaseline)
-	if jw.jsonl(Record{Kind: KindRebaseline, Seq: seq, Time: t, BaseMean: mean, BaseStdDev: sd}) {
-		return
-	}
-	b := jw.begin(KindRebaseline, seq, t)
-	b = appendF64(b, mean)
-	b = appendF64(b, sd)
-	jw.finish(b)
+	r := Record{Kind: KindRebaseline, Time: t, BaseMean: mean, BaseStdDev: sd}
+	jw.emit(&r)
 }
 
 // StreamRebaseline records a committed workload-shift rebaseline on a
@@ -419,183 +271,17 @@ func (jw *Writer) Rebaseline(t, mean, sd float64) {
 //
 //lint:hotpath
 func (jw *Writer) StreamRebaseline(t float64, stream uint64, mean, sd float64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindStreamRebaseline)
-	if jw.jsonl(Record{Kind: KindStreamRebaseline, Seq: seq, Time: t, Stream: stream, BaseMean: mean, BaseStdDev: sd}) {
-		return
-	}
-	b := jw.begin(KindStreamRebaseline, seq, t)
-	b = binary.AppendUvarint(b, stream)
-	b = appendF64(b, mean)
-	b = appendF64(b, sd)
-	jw.finish(b)
+	r := Record{Kind: KindStreamRebaseline, Time: t, Stream: stream, BaseMean: mean, BaseStdDev: sd}
+	jw.emit(&r)
 }
 
-// SchedEnqueue records a rejuvenation request admitted to the scheduler
-// queue for the given replica, with the detector level/fill that raised
-// it, the QoS deadline horizon declared with the request (EventTime; 0
-// when none) and the computed urgency.
-func (jw *Writer) SchedEnqueue(t float64, replica uint64, level, fill int, deadline, urgency float64, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindSchedEnqueue)
-	if jw.jsonl(Record{Kind: KindSchedEnqueue, Seq: seq, Time: t,
-		Stream: replica, Level: level, Fill: fill, EventTime: deadline, Value: urgency, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindSchedEnqueue, seq, t)
-	b = binary.AppendUvarint(b, replica)
-	b = binary.AppendUvarint(b, uint64(level))
-	b = binary.AppendUvarint(b, uint64(fill))
-	b = appendF64(b, deadline)
-	b = appendF64(b, urgency)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
-}
-
-// SchedDefer records a request the scheduler considered but did not
-// start, with the reason, the request's detector state and how many
-// times it has now been deferred.
-func (jw *Writer) SchedDefer(t float64, replica uint64, reason string, level, fill, deferrals int, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	reason = clipClass(reason)
-	seq := jw.nextSeq(KindSchedDefer)
-	if jw.jsonl(Record{Kind: KindSchedDefer, Seq: seq, Time: t,
-		Stream: replica, Class: reason, Level: level, Fill: fill, Attempt: deferrals, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindSchedDefer, seq, t)
-	b = binary.AppendUvarint(b, replica)
-	b = appendString(b, reason)
-	b = binary.AppendUvarint(b, uint64(level))
-	b = binary.AppendUvarint(b, uint64(fill))
-	b = binary.AppendUvarint(b, uint64(deferrals))
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
-}
-
-// SchedCoalesce records a duplicate request merged into an already
-// queued entry, or a starved entry escalated past the deferral windows:
-// level/fill are the merged detector state, deadline the QoS horizon
-// declared with the duplicate (EventTime; 0 for escalations), count the
-// total requests the entry now represents, urgency its refreshed
-// priority.
-func (jw *Writer) SchedCoalesce(t float64, replica uint64, reason string, level, fill, count int, deadline, urgency float64, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	reason = clipClass(reason)
-	seq := jw.nextSeq(KindSchedCoalesce)
-	if jw.jsonl(Record{Kind: KindSchedCoalesce, Seq: seq, Time: t,
-		Stream: replica, Class: reason, Level: level, Fill: fill, Attempt: count, EventTime: deadline, Value: urgency, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindSchedCoalesce, seq, t)
-	b = binary.AppendUvarint(b, replica)
-	b = appendString(b, reason)
-	b = binary.AppendUvarint(b, uint64(level))
-	b = binary.AppendUvarint(b, uint64(fill))
-	b = binary.AppendUvarint(b, uint64(count))
-	b = appendF64(b, deadline)
-	b = appendF64(b, urgency)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
-}
-
-// SchedStart records a rejuvenation action dispatched by the scheduler:
-// the Kijima tier name, its rollback fraction ρ and the pause (seconds)
-// the action holds the replica down.
-func (jw *Writer) SchedStart(t float64, replica uint64, tier string, rho, pause float64, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	tier = clipClass(tier)
-	seq := jw.nextSeq(KindSchedStart)
-	if jw.jsonl(Record{Kind: KindSchedStart, Seq: seq, Time: t,
-		Stream: replica, Class: tier, Value: rho, Backoff: pause, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindSchedStart, seq, t)
-	b = binary.AppendUvarint(b, replica)
-	b = appendString(b, tier)
-	b = appendF64(b, rho)
-	b = appendF64(b, pause)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
-}
-
-// SchedComplete records a dispatched action finishing; ok reports
-// whether the replica returned to service.
-func (jw *Writer) SchedComplete(t float64, replica uint64, ok bool, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindSchedComplete)
-	if jw.jsonl(Record{Kind: KindSchedComplete, Seq: seq, Time: t, Stream: replica, OK: ok, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindSchedComplete, seq, t)
-	b = binary.AppendUvarint(b, replica)
-	if ok {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
-}
-
-// SchedQuarantine records a replica quarantined after its actuator gave
-// up, with the terminal error text.
-func (jw *Writer) SchedQuarantine(t float64, replica uint64, errText string, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	errText = clipClass(errText)
-	seq := jw.nextSeq(KindSchedQuarantine)
-	if jw.jsonl(Record{Kind: KindSchedQuarantine, Seq: seq, Time: t, Stream: replica, Class: errText, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindSchedQuarantine, seq, t)
-	b = binary.AppendUvarint(b, replica)
-	b = appendString(b, errText)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
-}
-
-// SchedReadmit records a quarantined replica re-admitted to scheduling.
-func (jw *Writer) SchedReadmit(t float64, replica uint64, triggerID uint64) {
-	if jw.err != nil {
-		return
-	}
-	seq := jw.nextSeq(KindSchedReadmit)
-	if jw.jsonl(Record{Kind: KindSchedReadmit, Seq: seq, Time: t, Stream: replica, TriggerID: triggerID}) {
-		return
-	}
-	b := jw.begin(KindSchedReadmit, seq, t)
-	b = binary.AppendUvarint(b, replica)
-	b = appendTriggerID(b, triggerID)
-	jw.finish(b)
-}
-
-// jsonl encodes r on the JSONL debug codec and reports whether the
-// record was consumed there. The binary emitters call it first and fall
-// through to the allocation-free scratch-buffer path when it declines.
-// Encoding boxes the record and allocates; that is the price of the
-// debug codec, paid in exactly one place.
+// jsonl encodes r on the JSONL debug codec. Encoding boxes a copy of
+// the record and allocates; that is the price of the debug codec, paid
+// in exactly one place.
 //
 //lint:allow hotpath the JSONL debug codec boxes one record per line by design
-func (jw *Writer) jsonl(r Record) bool {
-	if jw.format != FormatJSONL {
-		return false
-	}
-	jw.err = jw.enc.Encode(r)
-	return true
+func (jw *Writer) jsonl(r *Record) {
+	jw.err = jw.enc.Encode(*r)
 }
 
 // clipClass truncates a class/error string to the codec bound.
@@ -606,33 +292,31 @@ func clipClass(s string) string {
 	return s
 }
 
-// nextSeq hands out the next sequence number and counts the record.
-func (jw *Writer) nextSeq(k Kind) uint64 {
-	seq := jw.seq
-	jw.seq++
-	jw.counts[k]++
-	return seq
-}
-
-// begin starts a binary record payload in the reused scratch buffer:
-// kind byte, uvarint seq, float64 time.
+// begin starts a binary record payload in the reused scratch buffer —
+// kind byte, uvarint seq, float64 time — after lenRoom bytes left free
+// for the length prefix finish puts in front.
 //
 //lint:allow hotpath appends into the reused scratch buffer; growth amortizes to zero (pinned by TestWriterObserveDoesNotAllocate)
 func (jw *Writer) begin(kind Kind, seq uint64, t float64) []byte {
-	b := jw.buf[:0]
+	b := jw.buf[:lenRoom]
 	b = append(b, byte(kind))
 	b = binary.AppendUvarint(b, seq)
 	b = appendF64(b, t)
 	return b
 }
 
-// finish length-prefixes the payload and writes it, retaining the
-// (possibly grown) scratch buffer for the next record.
-func (jw *Writer) finish(payload []byte) {
-	n := binary.PutUvarint(jw.lenBuf[:], uint64(len(payload)))
-	jw.write(jw.lenBuf[:n])
-	jw.write(payload)
-	jw.buf = payload[:0]
+// lenRoom is the room begin leaves for the uvarint length prefix.
+const lenRoom = binary.MaxVarintLen64
+
+// finish puts the payload's uvarint length right in front of it and
+// writes both with one Write call, retaining the (possibly grown)
+// scratch buffer for the next record.
+func (jw *Writer) finish(b []byte) {
+	n := binary.PutUvarint(jw.lenBuf[:], uint64(len(b)-lenRoom))
+	start := lenRoom - n
+	copy(b[start:], jw.lenBuf[:n])
+	jw.write(b[start:])
+	jw.buf = b[:0]
 }
 
 // write forwards to the underlying writer unless an error has latched.
@@ -663,159 +347,80 @@ func DecisionRecord(t float64, d core.Decision, in core.Internals, suppressed bo
 	}
 }
 
-// Decision flag bits of the binary codec.
-const (
-	flagEvaluated  = 1 << 0
-	flagTriggered  = 1 << 1
-	flagSuppressed = 1 << 2
-)
-
-// appendDecisionFields encodes the decision payload (after the common
-// kind/seq/time prefix): flags byte, sample mean, target, level, fill,
-// sample size, sample fill, statistic. This is the byte stream the
-// replay verifier compares, so its layout is part of the determinism
-// contract (DESIGN §10).
+// appendFields encodes the given payload fields of r in order; the
+// common prefix (kind, seq, time) is already in b. Callers pass
+// schema[r.Kind], or decisionFields to get the canonical bytes the
+// replay verifier compares.
 //
 //lint:allow hotpath appends into the caller's reused scratch buffer; growth amortizes to zero
-func appendDecisionFields(b []byte, r *Record) []byte {
-	var flags byte
-	if r.Evaluated {
-		flags |= flagEvaluated
-	}
-	if r.Triggered {
-		flags |= flagTriggered
-	}
-	if r.Suppressed {
-		flags |= flagSuppressed
-	}
-	b = append(b, flags)
-	b = appendF64(b, r.SampleMean)
-	b = appendF64(b, r.Target)
-	b = binary.AppendUvarint(b, uint64(r.Level))
-	b = binary.AppendUvarint(b, uint64(r.Fill))
-	b = binary.AppendUvarint(b, uint64(r.SampleSize))
-	b = binary.AppendUvarint(b, uint64(r.SampleFill))
-	b = appendF64(b, r.Statistic)
-	return b
-}
-
-// appendPayload encodes the kind-specific payload of r; the common
-// prefix (kind, seq, time) is already in b.
-func appendPayload(b []byte, r *Record) []byte {
-	switch r.Kind {
-	case KindRepStart:
-		b = binary.AppendUvarint(b, uint64(r.Rep))
-		b = binary.AppendUvarint(b, r.Seed)
-		b = binary.AppendUvarint(b, r.Stream)
-	case KindObserve:
-		b = appendF64(b, r.Value)
-	case KindDecision:
-		b = appendDecisionFields(b, r)
-		b = appendTriggerID(b, r.TriggerID)
-	case KindReset, KindSimFired, KindSimCancelled:
-		// no payload
-	case KindRejuvenation:
-		b = binary.AppendUvarint(b, uint64(r.Killed))
-	case KindGCStart, KindGCEnd:
-		b = appendF64(b, r.HeapMB)
-	case KindSimScheduled:
-		b = appendF64(b, r.EventTime)
-	case KindFault:
-		b = appendString(b, clipClass(r.Class))
-		b = appendF64(b, r.Value)
-	case KindActStart:
-		b = appendTriggerID(b, r.TriggerID)
-	case KindActAttempt:
-		if r.OK {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
+func appendFields(b []byte, r *Record, fields []field) []byte {
+	for _, f := range fields {
+		switch f {
+		case fRep:
+			b = binary.AppendUvarint(b, uint64(r.Rep))
+		case fSeed:
+			b = binary.AppendUvarint(b, r.Seed)
+		case fStream:
+			b = binary.AppendUvarint(b, r.Stream)
+		case fValue:
+			b = appendF64(b, r.Value)
+		case fFlags:
+			var flags byte
+			if r.Evaluated {
+				flags |= flagEvaluated
+			}
+			if r.Triggered {
+				flags |= flagTriggered
+			}
+			if r.Suppressed {
+				flags |= flagSuppressed
+			}
+			b = append(b, flags)
+		case fSampleMean:
+			b = appendF64(b, r.SampleMean)
+		case fTarget:
+			b = appendF64(b, r.Target)
+		case fLevel:
+			b = binary.AppendUvarint(b, uint64(r.Level))
+		case fFill:
+			b = binary.AppendUvarint(b, uint64(r.Fill))
+		case fSampleSize:
+			b = binary.AppendUvarint(b, uint64(r.SampleSize))
+		case fSampleFill:
+			b = binary.AppendUvarint(b, uint64(r.SampleFill))
+		case fStatistic:
+			b = appendF64(b, r.Statistic)
+		case fKilled:
+			b = binary.AppendUvarint(b, uint64(r.Killed))
+		case fHeapMB:
+			b = appendF64(b, r.HeapMB)
+		case fEventTime:
+			b = appendF64(b, r.EventTime)
+		case fClass:
+			// emit has clipped already; clipping here too keeps the replay
+			// comparison exact against an unclipped SchedRecord.
+			b = appendString(b, clipClass(r.Class))
+		case fAttempt:
+			b = binary.AppendUvarint(b, uint64(r.Attempt))
+		case fOK:
+			var ok byte
+			if r.OK {
+				ok = 1
+			}
+			b = append(b, ok)
+		case fBackoff:
+			b = appendF64(b, r.Backoff)
+		case fBaseMean:
+			b = appendF64(b, r.BaseMean)
+		case fBaseStdDev:
+			b = appendF64(b, r.BaseStdDev)
+		case fTriggerID:
+			if r.TriggerID != 0 {
+				b = binary.AppendUvarint(b, r.TriggerID)
+			}
 		}
-		b = binary.AppendUvarint(b, uint64(r.Attempt))
-		b = appendF64(b, r.Backoff)
-		b = appendString(b, clipClass(r.Class))
-		b = appendTriggerID(b, r.TriggerID)
-	case KindActGiveUp:
-		b = binary.AppendUvarint(b, uint64(r.Attempt))
-		b = appendString(b, clipClass(r.Class))
-		b = appendTriggerID(b, r.TriggerID)
-	case KindStreamOpen:
-		b = binary.AppendUvarint(b, r.Stream)
-		b = appendString(b, clipClass(r.Class))
-	case KindStreamClose:
-		b = binary.AppendUvarint(b, r.Stream)
-	case KindStreamObserve:
-		b = binary.AppendUvarint(b, r.Stream)
-		b = appendF64(b, r.Value)
-	case KindStreamDecision:
-		b = binary.AppendUvarint(b, r.Stream)
-		b = appendDecisionFields(b, r)
-		b = appendTriggerID(b, r.TriggerID)
-	case KindRebaseline:
-		b = appendF64(b, r.BaseMean)
-		b = appendF64(b, r.BaseStdDev)
-	case KindStreamRebaseline:
-		b = binary.AppendUvarint(b, r.Stream)
-		b = appendF64(b, r.BaseMean)
-		b = appendF64(b, r.BaseStdDev)
-	case KindSchedEnqueue:
-		b = binary.AppendUvarint(b, r.Stream)
-		b = binary.AppendUvarint(b, uint64(r.Level))
-		b = binary.AppendUvarint(b, uint64(r.Fill))
-		b = appendF64(b, r.EventTime)
-		b = appendF64(b, r.Value)
-		b = appendTriggerID(b, r.TriggerID)
-	case KindSchedDefer:
-		b = binary.AppendUvarint(b, r.Stream)
-		b = appendString(b, clipClass(r.Class))
-		b = binary.AppendUvarint(b, uint64(r.Level))
-		b = binary.AppendUvarint(b, uint64(r.Fill))
-		b = binary.AppendUvarint(b, uint64(r.Attempt))
-		b = appendTriggerID(b, r.TriggerID)
-	case KindSchedCoalesce:
-		b = binary.AppendUvarint(b, r.Stream)
-		b = appendString(b, clipClass(r.Class))
-		b = binary.AppendUvarint(b, uint64(r.Level))
-		b = binary.AppendUvarint(b, uint64(r.Fill))
-		b = binary.AppendUvarint(b, uint64(r.Attempt))
-		b = appendF64(b, r.EventTime)
-		b = appendF64(b, r.Value)
-		b = appendTriggerID(b, r.TriggerID)
-	case KindSchedStart:
-		b = binary.AppendUvarint(b, r.Stream)
-		b = appendString(b, clipClass(r.Class))
-		b = appendF64(b, r.Value)
-		b = appendF64(b, r.Backoff)
-		b = appendTriggerID(b, r.TriggerID)
-	case KindSchedComplete:
-		b = binary.AppendUvarint(b, r.Stream)
-		if r.OK {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = appendTriggerID(b, r.TriggerID)
-	case KindSchedQuarantine:
-		b = binary.AppendUvarint(b, r.Stream)
-		b = appendString(b, clipClass(r.Class))
-		b = appendTriggerID(b, r.TriggerID)
-	case KindSchedReadmit:
-		b = binary.AppendUvarint(b, r.Stream)
-		b = appendTriggerID(b, r.TriggerID)
 	}
 	return b
-}
-
-// appendTriggerID appends the optional trailing trigger-id field: a
-// non-zero id is encoded as one trailing uvarint, a zero id as nothing
-// at all, so records without ids keep the exact byte layout journals
-// had before trigger ids existed. The decoder mirrors this: a trailing
-// uvarint is read only when bytes remain after the fixed payload.
-func appendTriggerID(b []byte, id uint64) []byte {
-	if id == 0 {
-		return b
-	}
-	return binary.AppendUvarint(b, id)
 }
 
 // appendString appends a length-prefixed string.

@@ -4,9 +4,10 @@
 # (shuffled, to surface test-order dependence), race-detector passes
 # (including the statistical conformance suite), the seed-pinned
 # shift-conformance laws, the scheduler-conformance laws, and a short
-# fuzz smoke
-# of the existing fuzz targets — including the rejuvlint annotation and
-# directive grammar — so they are exercised beyond their seed corpora.
+# fuzz smoke of every fuzz target in the module — including the
+# rejuvlint annotation and directive grammar — so they are exercised
+# beyond their seed corpora. Fuzz targets are discovered per package,
+# so a new one runs here without editing this script.
 #
 # Usage: scripts/check.sh
 #   FUZZTIME=5s scripts/check.sh   # longer fuzz smoke (default 3s/target)
@@ -50,7 +51,7 @@ go test -run 'TestReplayDeterminism|TestReplayJournalIdenticalAcrossGOMAXPROCS' 
 }
 
 echo "== fuzz smoke (${FUZZTIME:-3s} per target)"
-for pkg in ./internal/core ./internal/stats ./internal/journal ./internal/faults ./internal/lint ./internal/sched; do
+for pkg in $(go list ./...); do
     for target in $(go test -list '^Fuzz' "$pkg" | grep '^Fuzz'); do
         echo "-- fuzz $pkg $target"
         go test -run='^$' -fuzz="^${target}\$" -fuzztime="${FUZZTIME:-3s}" "$pkg"
