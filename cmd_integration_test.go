@@ -7,8 +7,11 @@ package rejuv_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -561,6 +564,43 @@ func TestCmdFiguresGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertGolden(t, "figures_fig16_csv", string(csv))
+}
+
+// TestCmdFiguresQuickManifest pins every artefact of a quick figures run
+// on seed 1 by its SHA-256: all of figs 5 and 9–16 and the burst and
+// cluster extensions. A reordered simulation event anywhere in the
+// evaluation path changes at least one of these files. The manifest uses
+// sha256sum's format, so `sha256sum -c` checks a directory by hand.
+func TestCmdFiguresQuickManifest(t *testing.T) {
+	dir := t.TempDir()
+	runCmd(t, "figures", "", "-quick", "-seed", "1", "-out", dir)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, e := range entries { // ReadDir sorts by name
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		fmt.Fprintf(&got, "%s  %s\n", hex.EncodeToString(sum[:]), e.Name())
+	}
+	path := filepath.Join("testdata", "cli", "figures_quick.sha256")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("figures -quick -seed 1 artefacts diverged from %s.\ngot:\n%s\nwant:\n%s", path, got.String(), want)
+	}
 }
 
 // TestCmdRejuvsimCluster pins the cost-aware cluster scheduling demo:
