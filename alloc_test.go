@@ -117,3 +117,30 @@ func BenchmarkMonitorObserveInstrumented(b *testing.B) {
 		m.Observe(float64(i%13) + 30)
 	}
 }
+
+// TestSimulateSteadyStateDoesNotAllocate pins the simulation kernel's
+// allocation contract end to end: the DES event arena and heap and the
+// station's queue grow to their peak sizes and are then reused, and the
+// station's jobs live in a per-CPU arena, so a replication four times
+// as long allocates no more. The detector rejuvenates the system repeatedly,
+// exercising the kill-and-recycle path as well as completions.
+func TestSimulateSteadyStateDoesNotAllocate(t *testing.T) {
+	run := func(txns int64) float64 {
+		return testing.AllocsPerRun(3, func() {
+			res, err := rejuv.Simulate(rejuv.SimulationConfig{
+				ArrivalRate: 1.8, Transactions: txns, Seed: 1, Stream: 1,
+			}, hotPathDetector(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rejuvenations == 0 {
+				t.Fatal("replication never rejuvenated; the pin did not cover the kill path")
+			}
+		})
+	}
+	short, long := run(10_000), run(40_000)
+	t.Logf("allocations per replication: %.0f at 10k transactions, %.0f at 40k", short, long)
+	if long > short {
+		t.Errorf("a 40k-transaction replication allocates %.0f objects, a 10k one %.0f: some per-transaction allocation remains", long, short)
+	}
+}

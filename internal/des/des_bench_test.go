@@ -11,7 +11,7 @@ func BenchmarkScheduleFire(b *testing.B) {
 	sim := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sim.Schedule(1, func(*Simulator) {})
+		sim.Schedule(1, nop, i)
 		sim.Step()
 	}
 }
@@ -22,12 +22,12 @@ func BenchmarkDeepQueue(b *testing.B) {
 	sim := New()
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10_000; i++ {
-		sim.Schedule(1e6+rng.Float64(), func(*Simulator) {})
+		sim.Schedule(1e6+rng.Float64(), nop, i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.Schedule(rng.Float64()*1e5, func(*Simulator) {})
+		sim.Schedule(rng.Float64()*1e5, nop, i)
 		sim.Step()
 	}
 }
@@ -36,24 +36,24 @@ func BenchmarkDeepQueue(b *testing.B) {
 // operation a GC stall performs on every running thread.
 func BenchmarkReschedule(b *testing.B) {
 	sim := New()
-	events := make([]*Event, 64)
+	events := make([]Event, 64)
 	for i := range events {
-		events[i] = sim.Schedule(1e9+float64(i), func(*Simulator) {})
+		events[i] = sim.Schedule(1e9+float64(i), nop, i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := events[i%len(events)]
-		sim.Reschedule(e, e.Time()+60)
+		sim.Reschedule(e, sim.Time(e)+60)
 	}
 }
 
-// BenchmarkCancel measures lazy event removal.
+// BenchmarkCancel measures event removal.
 func BenchmarkCancel(b *testing.B) {
 	sim := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := sim.Schedule(1e6, func(*Simulator) {})
+		e := sim.Schedule(1e6, nop, i)
 		sim.Cancel(e)
 	}
 }

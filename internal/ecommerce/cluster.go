@@ -98,7 +98,10 @@ type Cluster struct {
 	rrNext    int
 
 	jw     *journal.Writer
-	tickEv *des.Event
+	tickEv des.Event
+	// arriveH, tickH and finishH are the cluster's event handlers, bound
+	// once so scheduling them allocates nothing.
+	arriveH, tickH, finishH des.Handler
 
 	res      ClusterResult
 	ran      bool
@@ -159,12 +162,11 @@ func NewCluster(cfg ClusterConfig, factory func(host int) (core.Detector, error)
 		inService: make([]bool, cfg.Hosts),
 		obs:       make([]uint64, cfg.Hosts),
 	}
+	c.arriveH, c.tickH, c.finishH = c.arrive, c.tick, c.finish
 	c.res.PerHost = make([]Result, cfg.Hosts)
 	for h := 0; h < cfg.Hosts; h++ {
 		h := h
-		c.stations[h] = newStation(host, c.sim, c.rng, func(j *job, rt float64) {
-			c.complete(h, j, rt)
-		})
+		c.stations[h] = newStation(host, c.sim, c.rng, func(rt float64) { c.complete(h, rt) })
 		c.inService[h] = true
 		if factory != nil {
 			det, err := factory(h)
@@ -236,23 +238,17 @@ func (c *Cluster) Run() (ClusterResult, error) {
 }
 
 func (c *Cluster) scheduleArrival() {
-	c.sim.Schedule(c.rng.Exp(c.cfg.ArrivalRate), func(*des.Simulator) { c.arrive() })
+	c.sim.Schedule(c.rng.Exp(c.cfg.ArrivalRate), c.arriveH, 0)
 }
 
 // arrive routes the transaction to a host. If every host is out of
 // service the transaction queues on the next round-robin host and is
 // served when that host returns.
-func (c *Cluster) arrive() {
+func (c *Cluster) arrive(*des.Simulator, int) {
 	c.res.Arrived++
-	j := &job{arrival: c.sim.Now(), slot: -1}
 	h := c.route()
-	j.host = h
 	c.res.PerHost[h].Arrived++
-	if c.inService[h] {
-		c.stations[h].enqueue(j)
-	} else {
-		c.stations[h].queue = append(c.stations[h].queue, j)
-	}
+	c.stations[h].arrive(c.inService[h])
 	c.scheduleArrival()
 }
 
@@ -288,7 +284,7 @@ func (c *Cluster) route() int {
 
 // complete records one finished transaction, runs the host's detector,
 // and turns its verdict into a scheduler request.
-func (c *Cluster) complete(h int, _ *job, rt float64) {
+func (c *Cluster) complete(h int, rt float64) {
 	c.res.Completed++
 	c.res.RT.Add(rt)
 	c.res.PerHost[h].Completed++
@@ -323,8 +319,9 @@ func (c *Cluster) deadline(h int) float64 {
 		return 0
 	}
 	var d float64
-	for _, r := range c.stations[h].running {
-		if t := r.completion.Time(); t > d {
+	st := c.stations[h]
+	for _, r := range st.running {
+		if t := c.sim.Time(st.jobs[r].completion); t > d {
 			d = t
 		}
 	}
@@ -360,18 +357,19 @@ func (c *Cluster) apply(trs []sched.Transition) {
 // NextWake time (a deadline horizon expiring or an entry crossing the
 // starvation latch).
 func (c *Cluster) armTick() {
-	if c.tickEv != nil {
-		c.sim.Cancel(c.tickEv)
-		c.tickEv = nil
-	}
+	c.sim.Cancel(c.tickEv)
+	c.tickEv = des.Event{}
 	w := c.gov.NextWake(c.sim.Now())
 	if math.IsInf(w, 1) {
 		return
 	}
-	c.tickEv = c.sim.ScheduleAt(w, func(*des.Simulator) {
-		c.tickEv = nil
-		c.apply(c.gov.Tick(c.sim.Now()))
-	})
+	c.tickEv = c.sim.ScheduleAt(w, c.tickH, 0)
+}
+
+// tick is the governor's time-driven re-evaluation.
+func (c *Cluster) tick(*des.Simulator, int) {
+	c.tickEv = des.Event{}
+	c.apply(c.gov.Tick(c.sim.Now()))
 }
 
 // execute performs one dispatched rejuvenation action: a full restart
@@ -403,16 +401,16 @@ func (c *Cluster) execute(tr sched.Transition) {
 		return
 	}
 	if num.Zero(tr.Pause) {
-		c.finish(h)
+		c.finish(c.sim, h)
 		return
 	}
 	c.inService[h] = false
-	c.sim.Schedule(tr.Pause, func(*des.Simulator) { c.finish(h) })
+	c.sim.Schedule(tr.Pause, c.finishH, h)
 }
 
-// finish returns a host to service after its action's pause and reports
+// finish returns host h to service after its action's pause and reports
 // the completion to the governor, which may dispatch the next action.
-func (c *Cluster) finish(h int) {
+func (c *Cluster) finish(_ *des.Simulator, h int) {
 	c.inService[h] = true
 	c.stations[h].tryStart()
 	c.apply(c.gov.Complete(c.sim.Now(), h, true))

@@ -147,8 +147,8 @@ type tick struct {
 
 // scheduleTick arms the next firing of tk.
 func (m *Model) scheduleTick(tk tick) {
-	m.sim.Schedule(tk.interval, func(*des.Simulator) {
+	m.sim.Schedule(tk.interval, func(*des.Simulator, int) {
 		tk.fn(m.sim.Now())
 		m.scheduleTick(tk)
-	})
+	}, 0)
 }

@@ -185,14 +185,6 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// job is one transaction moving through the system.
-type job struct {
-	arrival    float64
-	completion *des.Event // nil while queued
-	slot       int        // index in station.running, -1 while queued
-	host       int        // cluster host index, 0 on a single host
-}
-
 // Result aggregates one replication.
 type Result struct {
 	// Arrived counts transactions that entered the system.
@@ -247,14 +239,17 @@ type Model struct {
 	// un-pause event so that a second rejuvenation during a pause
 	// extends the outage instead of ending it early.
 	paused   bool
-	pauseEnd *des.Event
+	pauseEnd des.Event
 	// bursting is true while the on-off arrival overlay is in its
 	// high-rate phase; nextArrival is the pending arrival event, which
 	// toggles reschedule (valid because the exponential inter-arrival
 	// time is memoryless, this resampling is exactly the Markov-
 	// modulated Poisson process).
 	bursting    bool
-	nextArrival *des.Event
+	nextArrival des.Event
+	// arriveH is Model.arrive, bound once so scheduling an arrival
+	// allocates nothing.
+	arriveH des.Handler
 	// wlFactor is the active workload-shape rate factor (1 without a
 	// shape); wlIdx is the active phase index.
 	wlFactor float64
@@ -307,6 +302,7 @@ func New(cfg Config, detector core.Detector) (*Model, error) {
 	}
 	m.reb, _ = detector.(core.Rebaseliner)
 	m.st = newStation(cfg, m.sim, m.rng, m.complete)
+	m.arriveH = m.arrive
 	return m, nil
 }
 
@@ -351,8 +347,7 @@ func (m *Model) currentArrivalRate() float64 {
 
 // scheduleArrival schedules the next Poisson arrival at the current rate.
 func (m *Model) scheduleArrival() {
-	m.nextArrival = m.sim.Schedule(m.rng.Exp(m.currentArrivalRate()),
-		func(*des.Simulator) { m.arrive() })
+	m.nextArrival = m.sim.Schedule(m.rng.Exp(m.currentArrivalRate()), m.arriveH, 0)
 }
 
 // scheduleBurstToggle schedules the end of the current on/off phase.
@@ -361,45 +356,41 @@ func (m *Model) scheduleBurstToggle() {
 	if m.bursting {
 		mean = m.cfg.BurstOn
 	}
-	m.sim.Schedule(m.rng.Exp(1/mean), func(*des.Simulator) {
+	m.sim.Schedule(m.rng.Exp(1/mean), func(*des.Simulator, int) {
 		m.bursting = !m.bursting
 		// Resample the pending inter-arrival time at the new rate;
 		// memorylessness makes this the exact modulated process.
-		if m.nextArrival != nil && m.nextArrival.Pending() {
+		if m.sim.Pending(m.nextArrival) {
 			m.sim.Cancel(m.nextArrival)
 			m.scheduleArrival()
 		}
 		m.scheduleBurstToggle()
-	})
+	}, 0)
 }
 
 // schedulePeriodicRejuvenation arms the classical time-based policy.
 func (m *Model) schedulePeriodicRejuvenation() {
-	m.sim.Schedule(m.cfg.RejuvenationInterval, func(*des.Simulator) {
+	m.sim.Schedule(m.cfg.RejuvenationInterval, func(*des.Simulator, int) {
 		m.rejuvenate()
 		m.schedulePeriodicRejuvenation()
-	})
+	}, 0)
 }
 
 // arrive is paper step 1: a thread arrives and the next arrival is
 // scheduled. During a rejuvenation pause the thread waits in the queue
 // without being admitted to a CPU.
-func (m *Model) arrive() {
+//
+//lint:hotpath
+func (m *Model) arrive(*des.Simulator, int) {
 	m.res.Arrived++
-	j := &job{arrival: m.sim.Now(), slot: -1}
-	if m.paused {
-		m.st.queue = append(m.st.queue, j)
-		m.st.noteState()
-	} else {
-		m.st.enqueue(j)
-	}
+	m.st.arrive(!m.paused)
 	m.scheduleArrival()
 }
 
 // complete is paper step 8: record the response time, feed the detector,
 // maybe rejuvenate, and stop the replication when the transaction budget
 // is spent.
-func (m *Model) complete(_ *job, rt float64) {
+func (m *Model) complete(rt float64) {
 	m.res.Completed++
 	m.res.RT.Add(rt)
 	if m.met != nil {
@@ -448,11 +439,11 @@ func (m *Model) rejuvenate() {
 	if m.cfg.RejuvenationPause > 0 {
 		m.paused = true
 		m.sim.Cancel(m.pauseEnd)
-		m.pauseEnd = m.sim.Schedule(m.cfg.RejuvenationPause, func(*des.Simulator) {
+		m.pauseEnd = m.sim.Schedule(m.cfg.RejuvenationPause, func(*des.Simulator, int) {
 			m.paused = false
-			m.pauseEnd = nil
+			m.pauseEnd = des.Event{}
 			m.st.tryStart()
-		})
+		}, 0)
 	}
 	if m.OnRejuvenate != nil {
 		m.OnRejuvenate(m.sim.Now(), killed)

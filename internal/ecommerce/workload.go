@@ -104,11 +104,11 @@ func RampPlateauWorkload(quiet, ramp float64, steps int, factor float64) *Worklo
 func (m *Model) applyWorkloadPhase() {
 	ph := m.cfg.Workload.Phases[m.wlIdx]
 	m.wlFactor = ph.Factor
-	if m.nextArrival != nil && m.nextArrival.Pending() {
+	if m.sim.Pending(m.nextArrival) {
 		m.sim.Cancel(m.nextArrival)
 		m.scheduleArrival()
 	}
-	m.sim.Schedule(ph.Duration, func(*des.Simulator) {
+	m.sim.Schedule(ph.Duration, func(*des.Simulator, int) {
 		m.wlIdx++
 		if m.wlIdx >= len(m.cfg.Workload.Phases) {
 			if !m.cfg.Workload.Cycle {
@@ -118,5 +118,5 @@ func (m *Model) applyWorkloadPhase() {
 			m.wlIdx = 0
 		}
 		m.applyWorkloadPhase()
-	})
+	}, 0)
 }

@@ -9,21 +9,13 @@
 // unlike math/rand whose algorithm is unspecified across releases.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // mul128 returns the 128-bit product of a and b as (hi, lo).
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + (w1 >> 32)
-	lo = a * b
-	return hi, lo
-}
+func mul128(a, b uint64) (hi, lo uint64) { return bits.Mul64(a, b) }
 
 // pcg128 state constants (PCG-XSL-RR 128/64, O'Neill 2014).
 const (
